@@ -8,7 +8,6 @@
 use msort_bench::Harness;
 use msort_core::{het_sort, p2p_sort, rp_sort, HetConfig, P2pConfig, RpConfig};
 use msort_data::{generate, Distribution};
-use msort_gpu::Fidelity;
 use msort_topology::{Platform, PlatformId};
 use std::hint::black_box;
 
@@ -27,18 +26,12 @@ fn bench_fig12_to_14(h: &mut Harness) {
         for g in [2usize, 4] {
             h.bench(&format!("simulated_2B_{id:?}/p2p/{g}"), || {
                 let mut d = input.clone();
-                let cfg = P2pConfig {
-                    fidelity: Fidelity::Sampled { scale: SCALE },
-                    ..P2pConfig::new(g)
-                };
+                let cfg = P2pConfig::new(g).sampled(SCALE);
                 black_box(p2p_sort(&platform, &cfg, &mut d, n).total)
             });
             h.bench(&format!("simulated_2B_{id:?}/het/{g}"), || {
                 let mut d = input.clone();
-                let cfg = HetConfig {
-                    fidelity: Fidelity::Sampled { scale: SCALE },
-                    ..HetConfig::new(g)
-                };
+                let cfg = HetConfig::new(g).sampled(SCALE);
                 black_box(het_sort(&platform, &cfg, &mut d, n).total)
             });
         }

@@ -24,7 +24,7 @@ use msort_cluster::cluster_of;
 use msort_core::{
     cpu_only_sort, cross_node_sort, het_sort, mwms_sort, p2p_sort, rp_sort, sample_sort,
     single_gpu_sort, CrossNodeConfig, HetConfig, InnerAlgo, LargeDataApproach, MwmsConfig,
-    P2pConfig, RpConfig, SampleSortConfig, SortReport,
+    P2pConfig, PlacementConfig, RpConfig, SampleSortConfig, SortReport,
 };
 use msort_data::{generate, DataType, Distribution};
 use msort_gpu::Fidelity;
@@ -269,50 +269,37 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
         cfg.gpus_per_node = Some(opts.gpus);
         return cross_node_sort(platform, &cfg, &mut data, n);
     }
+    let placement = PlacementConfig {
+        fidelity,
+        algo: opts.primitive,
+        ..PlacementConfig::new(opts.gpus)
+    };
     match opts.algo.as_str() {
         "p2p" => {
-            let mut cfg = P2pConfig {
-                fidelity,
-                algo: opts.primitive,
-                ..P2pConfig::new(opts.gpus)
+            let cfg = P2pConfig {
+                placement,
+                multi_hop: opts.multi_hop,
             };
-            cfg.multi_hop = opts.multi_hop;
             p2p_sort(platform, &cfg, &mut data, n)
         }
         "het" => {
-            let mut cfg = HetConfig {
-                fidelity,
-                algo: opts.primitive,
-                ..HetConfig::new(opts.gpus)
+            let cfg = HetConfig {
+                placement,
+                approach: opts.approach,
+                eager_merge: opts.eager_merge,
+                gpu_mem_budget: None,
             };
-            cfg.approach = opts.approach;
-            cfg.eager_merge = opts.eager_merge;
             het_sort(platform, &cfg, &mut data, n)
         }
-        "rp" => {
-            let cfg = RpConfig {
-                fidelity,
-                algo: opts.primitive,
-                ..RpConfig::new(opts.gpus)
-            };
-            rp_sort(platform, &cfg, &mut data, n)
-        }
+        "rp" => rp_sort(platform, &RpConfig { placement }, &mut data, n),
         "sample" => {
             let cfg = SampleSortConfig {
-                fidelity,
-                algo: opts.primitive,
+                placement,
                 ..SampleSortConfig::new(opts.gpus)
             };
             sample_sort(platform, &cfg, &mut data, n)
         }
-        "mwms" => {
-            let cfg = MwmsConfig {
-                fidelity,
-                algo: opts.primitive,
-                ..MwmsConfig::new(opts.gpus)
-            };
-            mwms_sort(platform, &cfg, &mut data, n)
-        }
+        "mwms" => mwms_sort(platform, &MwmsConfig { placement }, &mut data, n),
         "1gpu" => single_gpu_sort(platform, fidelity, opts.primitive, &mut data, n),
         "cpu" => cpu_only_sort(platform, fidelity, &mut data, n),
         other => {

@@ -11,7 +11,6 @@ use msort_core::gpuset::score_gpu_set;
 use msort_core::{p2p_sort, P2pConfig};
 use msort_cpu::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
 use msort_data::{generate, Distribution, GIB};
-use msort_gpu::Fidelity;
 use msort_sim::CostModel;
 use msort_topology::Platform;
 use std::time::Instant;
@@ -23,7 +22,6 @@ pub fn gpuset_order() -> ExperimentResult {
     let p = Platform::ibm_ac922();
     let scale = PAPER_SCALE;
     let n = align_down(2_000_000_000, scale * 4);
-    let fidelity = Fidelity::Sampled { scale };
     let input: Vec<u32> = generate(Distribution::Uniform, (n / scale) as usize, 54);
 
     let mut r = ExperimentResult::new(
@@ -33,11 +31,7 @@ pub fn gpuset_order() -> ExperimentResult {
     );
     for order in [vec![0usize, 1, 2, 3], vec![0, 2, 1, 3]] {
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(4)
-        }
-        .with_order(order.clone());
+        let cfg = P2pConfig::new(4).sampled(scale).with_set(order.clone());
         let report = p2p_sort(&p, &cfg, &mut d, n);
         r.push_ours(
             format!("end-to-end, order {order:?}"),
@@ -59,7 +53,6 @@ pub fn pivot_leftmost() -> ExperimentResult {
     let p = Platform::ibm_ac922();
     let scale = PAPER_SCALE;
     let n = align_down(2_000_000_000, scale * 2);
-    let fidelity = Fidelity::Sampled { scale };
     let mut r = ExperimentResult::new(
         "pivot-ablation",
         "Leftmost-pivot optimization: P2P keys swapped (2 GPUs, 2B keys)",
@@ -77,10 +70,7 @@ pub fn pivot_leftmost() -> ExperimentResult {
     ] {
         let input: Vec<u32> = generate(dist, (n / scale) as usize, 77);
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(2)
-        };
+        let cfg = P2pConfig::new(2).sampled(scale);
         let report = p2p_sort(&p, &cfg, &mut d, n);
         r.push_ours(
             format!("{}: swapped", dist.label()),

@@ -8,15 +8,12 @@ use super::align_down;
 use crate::{ExperimentResult, PAPER_SCALE};
 use msort_core::{p2p_sort, P2pConfig, SortReport};
 use msort_data::{generate, Distribution};
-use msort_gpu::Fidelity;
+
 use msort_topology::{Platform, PlatformId};
 
 fn best_run(platform: &Platform, g: usize, n: u64, input: &[u32]) -> SortReport {
     let mut data = input.to_vec();
-    let cfg = P2pConfig {
-        fidelity: Fidelity::Sampled { scale: PAPER_SCALE },
-        ..P2pConfig::new(g)
-    };
+    let cfg = P2pConfig::new(g).sampled(PAPER_SCALE);
     p2p_sort(platform, &cfg, &mut data, n)
 }
 

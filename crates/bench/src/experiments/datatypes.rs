@@ -9,17 +9,14 @@ use super::align_down;
 use crate::{ExperimentResult, PAPER_SCALE};
 use msort_core::{p2p_sort, P2pConfig};
 use msort_data::{generate, Distribution, SortKey};
-use msort_gpu::Fidelity;
+
 use msort_topology::{Platform, PlatformId};
 
 fn run_typed<K: SortKey>(platform: &Platform, n: u64, seed: u64) -> f64 {
     let scale = PAPER_SCALE;
     let input: Vec<K> = generate(Distribution::Uniform, (n / scale) as usize, seed);
     let mut data = input;
-    let cfg = P2pConfig {
-        fidelity: Fidelity::Sampled { scale },
-        ..P2pConfig::new(2)
-    };
+    let cfg = P2pConfig::new(2).sampled(scale);
     p2p_sort(platform, &cfg, &mut data, n).total.as_secs_f64()
 }
 

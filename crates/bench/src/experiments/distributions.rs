@@ -10,7 +10,6 @@ use super::align_down;
 use crate::{ExperimentResult, PAPER_SCALE};
 use msort_core::{het_sort, p2p_sort, HetConfig, P2pConfig};
 use msort_data::{generate, Distribution};
-use msort_gpu::Fidelity;
 use msort_topology::Platform;
 
 /// Run Figure 16.
@@ -19,7 +18,6 @@ pub fn fig16() -> ExperimentResult {
     let p = Platform::ibm_ac922();
     let scale = PAPER_SCALE;
     let n = align_down(2_000_000_000, scale * 2);
-    let fidelity = Fidelity::Sampled { scale };
     let mut r = ExperimentResult::new(
         "fig16",
         "Sorting 2B keys of varying distributions, 2 GPUs on the IBM AC922",
@@ -30,10 +28,7 @@ pub fn fig16() -> ExperimentResult {
     for (i, dist) in Distribution::paper_set().into_iter().enumerate() {
         let input: Vec<u32> = generate(dist, (n / scale) as usize, 33);
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(2)
-        };
+        let cfg = P2pConfig::new(2).sampled(scale);
         let p2p = p2p_sort(&p, &cfg, &mut d, n);
         r.push(
             format!("P2P sort, {}", dist.label()),
@@ -41,10 +36,7 @@ pub fn fig16() -> ExperimentResult {
             p2p.total.as_secs_f64(),
         );
         let mut d = input.clone();
-        let cfg = HetConfig {
-            fidelity,
-            ..HetConfig::new(2)
-        };
+        let cfg = HetConfig::new(2).sampled(scale);
         let het = het_sort(&p, &cfg, &mut d, n);
         r.push(
             format!("HET sort, {}", dist.label()),
@@ -59,10 +51,7 @@ pub fn fig16() -> ExperimentResult {
     for dist in [Distribution::Uniform, Distribution::Sorted] {
         let input: Vec<u32> = generate(dist, (n4 / scale) as usize, 33);
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(4)
-        };
+        let cfg = P2pConfig::new(4).sampled(scale);
         let rep = p2p_sort(&p, &cfg, &mut d, n4);
         r.push_ours(
             format!("P2P sort 4 GPUs, {}", dist.label()),
@@ -76,10 +65,7 @@ pub fn fig16() -> ExperimentResult {
     for dist in [Distribution::Uniform, Distribution::ReverseSorted] {
         let input: Vec<u32> = generate(dist, (n / scale) as usize, 33);
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(2)
-        };
+        let cfg = P2pConfig::new(2).sampled(scale);
         let rep = p2p_sort(&dgx, &cfg, &mut d, n);
         r.push_ours(
             format!("DGX A100 P2P sort, {}", dist.label()),

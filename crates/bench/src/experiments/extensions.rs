@@ -12,14 +12,12 @@ use super::align_down;
 use crate::{ExperimentResult, PAPER_SCALE};
 use msort_core::{p2p_sort, rp_sort, P2pConfig, RpConfig};
 use msort_data::{generate, Distribution};
-use msort_gpu::Fidelity;
 use msort_topology::{Platform, PlatformId};
 
 /// RP sort vs P2P sort across platforms and GPU counts.
 #[must_use]
 pub fn rp_vs_p2p() -> ExperimentResult {
     let scale = PAPER_SCALE;
-    let fidelity = Fidelity::Sampled { scale };
     let mut r = ExperimentResult::new(
         "rp-sort",
         "Extension (paper §7): RP sort (one all-to-all) vs P2P sort (g-1 merge stages)",
@@ -35,15 +33,7 @@ pub fn rp_vs_p2p() -> ExperimentResult {
         let input: Vec<u32> = generate(Distribution::Uniform, (n / scale) as usize, 41);
         for &g in counts {
             let mut a = input.clone();
-            let p2p = p2p_sort(
-                &p,
-                &P2pConfig {
-                    fidelity,
-                    ..P2pConfig::new(g)
-                },
-                &mut a,
-                n,
-            );
+            let p2p = p2p_sort(&p, &P2pConfig::new(g).sampled(scale), &mut a, n);
             let mut b = input.clone();
             let rp = rp_sort(&p, &RpConfig::new(g).sampled(scale), &mut b, n);
             r.push_ours(
@@ -79,7 +69,6 @@ pub fn rp_vs_p2p() -> ExperimentResult {
 #[must_use]
 pub fn multihop() -> ExperimentResult {
     let scale = PAPER_SCALE;
-    let fidelity = Fidelity::Sampled { scale };
     let mut r = ExperimentResult::new(
         "multihop",
         "Extension (paper §7): multi-hop P2P routing over the DELTA's NVLink ring",
@@ -90,23 +79,11 @@ pub fn multihop() -> ExperimentResult {
     let input: Vec<u32> = generate(Distribution::Uniform, (n / scale) as usize, 43);
 
     let mut a = input.clone();
-    let base = p2p_sort(
-        &p,
-        &P2pConfig {
-            fidelity,
-            ..P2pConfig::new(4)
-        },
-        &mut a,
-        n,
-    );
+    let base = p2p_sort(&p, &P2pConfig::new(4).sampled(scale), &mut a, n);
     let mut b = input.clone();
     let hopped = p2p_sort(
         &p,
-        &P2pConfig {
-            fidelity,
-            ..P2pConfig::new(4)
-        }
-        .with_multi_hop(),
+        &P2pConfig::new(4).sampled(scale).with_multi_hop(),
         &mut b,
         n,
     );

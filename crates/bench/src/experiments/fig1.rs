@@ -43,10 +43,7 @@ pub fn run() -> ExperimentResult {
     );
     for (g, paper) in [(2usize, 0.75), (4, 0.45)] {
         let mut d = input.clone();
-        let cfg = P2pConfig {
-            fidelity,
-            ..P2pConfig::new(g)
-        };
+        let cfg = P2pConfig::new(g).sampled(scale);
         r.push(
             format!("P2P sort ({g} GPUs)"),
             paper,
@@ -55,10 +52,7 @@ pub fn run() -> ExperimentResult {
     }
     for (g, paper) in [(2usize, 1.09), (4, 0.75)] {
         let mut d = input.clone();
-        let cfg = HetConfig {
-            fidelity,
-            ..HetConfig::new(g)
-        };
+        let cfg = HetConfig::new(g).sampled(scale);
         r.push(
             format!("HET sort ({g} GPUs)"),
             paper,

@@ -32,17 +32,11 @@ fn run_one(platform: &Platform, algo: &str, gpus: usize, n: u64, input: &[u32]) 
     match (algo, gpus) {
         (_, 1) => single_gpu_sort(platform, fidelity, GpuSortAlgo::ThrustLike, &mut data, n),
         ("p2p", g) => {
-            let cfg = P2pConfig {
-                fidelity,
-                ..P2pConfig::new(g)
-            };
+            let cfg = P2pConfig::new(g).sampled(PAPER_SCALE);
             p2p_sort(platform, &cfg, &mut data, n)
         }
         ("het", g) => {
-            let cfg = HetConfig {
-                fidelity,
-                ..HetConfig::new(g)
-            };
+            let cfg = HetConfig::new(g).sampled(PAPER_SCALE);
             het_sort(platform, &cfg, &mut data, n)
         }
         _ => unreachable!("algo is 'p2p' or 'het'"),

@@ -9,7 +9,6 @@
 use crate::{ExperimentResult, PAPER_SCALE};
 use msort_core::{het_sort, p2p_sort, HetConfig, P2pConfig};
 use msort_data::{generate, Distribution};
-use msort_gpu::Fidelity;
 use msort_topology::platforms::CpuModel;
 use msort_topology::{gbps, GpuModel, LinkKind, MemSpec, Platform, TopologyBuilder};
 
@@ -53,27 +52,10 @@ fn build(host_gbps: f64, mesh_gbps: f64) -> Platform {
 }
 
 fn durations(platform: &Platform, n: u64, input: &[u32]) -> (f64, f64) {
-    let fidelity = Fidelity::Sampled { scale: PAPER_SCALE };
     let mut a = input.to_vec();
-    let p2p = p2p_sort(
-        platform,
-        &P2pConfig {
-            fidelity,
-            ..P2pConfig::new(4)
-        },
-        &mut a,
-        n,
-    );
+    let p2p = p2p_sort(platform, &P2pConfig::new(4).sampled(PAPER_SCALE), &mut a, n);
     let mut b = input.to_vec();
-    let het = het_sort(
-        platform,
-        &HetConfig {
-            fidelity,
-            ..HetConfig::new(4)
-        },
-        &mut b,
-        n,
-    );
+    let het = het_sort(platform, &HetConfig::new(4).sampled(PAPER_SCALE), &mut b, n);
     (p2p.total.as_secs_f64(), het.total.as_secs_f64())
 }
 

@@ -83,6 +83,29 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// Format an element rate with its unit picked automatically, to four
+/// significant digits (jobs-per-second rates stay readable next to
+/// keys-per-second ones).
+fn fmt_rate(per_sec: f64) -> String {
+    let (value, unit) = if per_sec >= 1e9 {
+        (per_sec / 1e9, "Gelem/s")
+    } else if per_sec >= 1e6 {
+        (per_sec / 1e6, "Melem/s")
+    } else if per_sec >= 1e3 {
+        (per_sec / 1e3, "Kelem/s")
+    } else {
+        (per_sec, "elem/s")
+    };
+    let decimals = if value >= 100.0 {
+        1
+    } else if value >= 10.0 {
+        2
+    } else {
+        3
+    };
+    format!("{value:.decimals$} {unit}")
+}
+
 impl Harness {
     /// Create a harness for the bench target `name`, reading the sample
     /// filter from the process arguments (criterion-style: the first
@@ -136,7 +159,7 @@ impl Harness {
         };
         let tp = result
             .melems_per_sec()
-            .map(|m| format!("  ({m:.1} Melem/s)"))
+            .map(|m| format!("  ({})", fmt_rate(m * 1e6)))
             .unwrap_or_default();
         println!(
             "{:<48} median {:>12}  min {:>12}  mean {:>12}{}",
@@ -203,6 +226,14 @@ mod tests {
         assert!(fmt_duration(Duration::from_micros(500)).ends_with("µs"));
         assert!(fmt_duration(Duration::from_millis(500)).ends_with("ms"));
         assert!(fmt_duration(Duration::from_secs(500)).ends_with('s'));
+    }
+
+    #[test]
+    fn fmt_rate_keeps_four_significant_digits() {
+        assert_eq!(fmt_rate(379_500.0), "379.5 Kelem/s");
+        assert_eq!(fmt_rate(2.5), "2.500 elem/s");
+        assert_eq!(fmt_rate(15_800.0), "15.80 Kelem/s");
+        assert_eq!(fmt_rate(2.5e9), "2.500 Gelem/s");
     }
 
     #[test]

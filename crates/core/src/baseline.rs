@@ -6,11 +6,12 @@
 //! half the device memory is the plain HtoD → sort → DtoH pipeline and
 //! chunks + merges beyond it.
 
+use crate::frame::JobFrame;
 use crate::het::{het_sort, HetConfig};
 use crate::report::{PhaseBreakdown, SortReport};
-use msort_data::{is_sorted, SortKey};
+use msort_data::SortKey;
 use msort_gpu::{Fidelity, GpuSystem};
-use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
+use msort_sim::GpuSortAlgo;
 use msort_topology::Platform;
 
 /// Sort with the CPU-only baseline (PARADIS) and report.
@@ -21,32 +22,18 @@ pub fn cpu_only_sort<K: SortKey>(
     logical_len: u64,
 ) -> SortReport {
     let mut sys: GpuSystem<'_, K> = GpuSystem::new(platform, fidelity);
-    let input = std::mem::take(data);
-    let host = sys.world_mut().import_host(0, input, logical_len);
+    let mut frame = JobFrame::in_place(&mut sys, std::mem::take(data), logical_len);
+    frame.start(&sys);
     let s = sys.stream();
-    sys.cpu_sort(s, host, &[]);
-    let end = sys.synchronize();
-
-    let output = sys.world().buffer(host).data.clone();
-    debug_assert!(is_sorted(&output));
-    *data = output;
-    SortReport {
-        algorithm: "PARADIS (CPU)".into(),
-        platform: platform.id.name().into(),
-        gpus: Vec::new(),
-        keys: logical_len,
-        bytes: logical_len * K::DATA_TYPE.key_bytes(),
-        total: end.since(SimTime::ZERO),
-        phases: PhaseBreakdown {
-            sort: end.since(SimTime::ZERO),
-            ..PhaseBreakdown::default()
-        },
-        validated: true,
-        p2p_swapped_keys: 0,
-        rerouted_transfers: 0,
-        max_partition_keys: 0,
-        inter_node: SimDuration::ZERO,
-    }
+    sys.cpu_sort(s, frame.host_out, &[]);
+    sys.synchronize();
+    frame.finish(&sys);
+    *data = frame.take_output();
+    let phases = PhaseBreakdown {
+        sort: frame.t_end.since(frame.t0),
+        ..PhaseBreakdown::default()
+    };
+    frame.report(&sys, "PARADIS (CPU)", Vec::new(), phases)
 }
 
 /// Sort with the single-GPU baseline ("Thrust (1 GPU)" in Figure 1).
@@ -58,8 +45,8 @@ pub fn single_gpu_sort<K: SortKey>(
     logical_len: u64,
 ) -> SortReport {
     let mut cfg = HetConfig::new(1);
-    cfg.fidelity = fidelity;
-    cfg.algo = algo;
+    cfg.placement.fidelity = fidelity;
+    cfg.placement.algo = algo;
     let mut report = het_sort(platform, &cfg, data, logical_len);
     report.algorithm = "Thrust (1 GPU)".into();
     report

@@ -1,18 +1,16 @@
 //! Resumable sort drivers: each multi-GPU sort as an explicit state
 //! machine over a *caller-provided* [`GpuSystem`].
 //!
-//! The classic entry points ([`crate::p2p_sort`], [`crate::rp_sort`],
-//! [`crate::het_sort`]) construct their own system, run their phases with
-//! `synchronize()` between them, and return — one sort, one clock. That
-//! shape cannot express a sort *service*: many jobs in flight at once,
-//! contending for the same links on one shared simulated clock.
+//! A single-shot sort (one job, one clock) and a sort *service* (many
+//! jobs in flight at once, contending for the same links on one shared
+//! simulated clock) run the same drivers; only the loop around them
+//! differs.
 //!
 //! A [`SortDriver`] splits a sort at exactly its host-synchronization
 //! points. Each [`SortDriver::step`] call enqueues the next phase's
 //! operations and returns the ops to wait for; the caller decides how to
-//! advance the clock — [`drive`] runs a single driver to completion
-//! (reproducing the classic single-job behavior bit-for-bit), while a
-//! scheduler such as `msort-serve` interleaves many drivers on one
+//! advance the clock — [`drive`] runs a single driver to completion,
+//! while a scheduler such as `msort-serve` interleaves many drivers on one
 //! [`GpuSystem`], stepping whichever job's frontier completed first.
 //!
 //! Because host-side work between phases (pivot selection, splitter
@@ -20,6 +18,7 @@
 //! drivers never changes any job's *data* — only its timing, which is the
 //! point: co-scheduled jobs genuinely contend in the fluid-flow engine.
 
+use crate::frame::JobFrame;
 use crate::report::SortReport;
 use msort_data::SortKey;
 use msort_gpu::{GpuSystem, OpId};
@@ -35,32 +34,46 @@ pub enum DriverStep {
 }
 
 /// A sort expressed as a resumable state machine over a shared executor.
+///
+/// Every driver owns a [`JobFrame`]; output, validation and release go
+/// through it, so a driver implements only its phases and its report.
 pub trait SortDriver<K: SortKey> {
     /// Enqueue the next phase. Called once to start the sort and again
     /// every time the previously returned wait-set has fully completed.
     fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep;
 
+    /// Build the per-job report. Valid once the driver is done.
+    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport;
+
+    /// The job's frame.
+    fn frame(&self) -> &JobFrame<K>;
+
+    /// The job's frame, mutably.
+    fn frame_mut(&mut self) -> &mut JobFrame<K>;
+
     /// Take the sorted output (physical payload). Valid once `step`
     /// returned [`DriverStep::Done`]; panics before that.
-    fn take_output(&mut self) -> Vec<K>;
+    fn take_output(&mut self) -> Vec<K> {
+        self.frame_mut().take_output()
+    }
 
     /// Whether the output was verified sorted.
-    fn validated(&self) -> bool;
+    fn validated(&self) -> bool {
+        self.frame().validated()
+    }
 
     /// Free every buffer this driver allocated (device and host). Called
     /// by schedulers to return device memory to the fleet when the job's
     /// gang lease ends.
-    fn release(&mut self, sys: &mut GpuSystem<'_, K>);
-
-    /// Build the per-job report. Valid once the driver is done.
-    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport;
+    fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
+        self.frame_mut().release(sys);
+    }
 }
 
 /// Run `driver` to completion as the only job on `sys`.
 ///
-/// For a single job this is exactly the classic phase loop: every wait-set
-/// drains fully before the next phase is planned, so timings are
-/// bit-identical to the pre-driver implementations.
+/// For a single job this is the classic phase loop: every wait-set drains
+/// fully before the next phase is planned.
 pub fn drive<K: SortKey, D: SortDriver<K> + ?Sized>(sys: &mut GpuSystem<'_, K>, driver: &mut D) {
     loop {
         match driver.step(sys) {

@@ -23,6 +23,9 @@
 //!   the cluster platforms' NIC fabric, with any of the above running
 //!   inside every node; inter-node NIC flows and intra-node NVLink flows
 //!   contend in the same rate allocation.
+//! * [`frame`] — the frame every driver shares: the [`PlacementConfig`]
+//!   the five single-node configs embed, and the [`JobFrame`] that owns a
+//!   job's buffers, clock, output validation, and shared report fields.
 //! * [`pivot`] — Algorithm 1: leftmost-pivot selection over two sorted
 //!   sequences (and concatenated chunk views), plus the block-swap plan
 //!   derivation (which chunk pairs exchange which ranges).
@@ -35,7 +38,8 @@
 //! * [`run`] — the shared [`RunConfig`]: one builder for algorithm,
 //!   fidelity, fault schedule, observability recorder, and seed, consumed
 //!   by every entry point (single-shot sorts, drivers, the serve layer,
-//!   the bench harness).
+//!   the bench harness), and [`Algorithm::driver`], the one factory that
+//!   builds a family's driver.
 //! * [`baseline`] — the CPU-only (PARADIS) and single-GPU baselines every
 //!   figure compares against.
 //! * [`report`] — per-run reports: end-to-end duration, the four-phase
@@ -58,6 +62,7 @@
 pub mod baseline;
 pub mod cross_node;
 pub mod exec;
+pub mod frame;
 pub mod gpuset;
 pub mod het;
 pub mod mwms;
@@ -71,6 +76,7 @@ pub mod sample;
 pub use baseline::{cpu_only_sort, single_gpu_sort};
 pub use cross_node::{cross_node_sort, CrossNodeConfig, CrossNodeDriver, InnerAlgo};
 pub use exec::{drive, DriverStep, SortDriver};
+pub use frame::{JobFrame, PlacementConfig};
 pub use gpuset::{default_gpu_set, search_gpu_set};
 pub use het::{het_sort, HetConfig, HetDriver, LargeDataApproach};
 pub use mwms::{mwms_sort, MwmsConfig, MwmsDriver};

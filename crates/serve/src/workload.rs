@@ -1,7 +1,7 @@
 //! Open-loop workload sources: where a service's jobs come from.
 //!
-//! The paper (and PR 3's `SortService::run`) measured the makespan of a
-//! *closed* job list — every arrival known up front. A service facing
+//! The paper measured the makespan of a *closed* job list — every
+//! arrival known up front. A service facing
 //! millions of users sees an **open loop** instead: arrivals keep coming
 //! at some offered rate whether or not the fleet keeps up, and the
 //! interesting numbers are sustained throughput and latency *under* that
@@ -52,10 +52,8 @@ pub trait Workload {
 
 /// Replay an explicit job list — the closed-loop adapter.
 ///
-/// This is exactly the old `SortService::run(Vec<(SimTime, SortJob)>)`
-/// path: the list is stably sorted by timestamp (ties keep submission
-/// order) and replayed verbatim, so a service run over a `TraceWorkload`
-/// is bit-identical to what the deprecated `run` produced.
+/// The list is stably sorted by timestamp (ties keep submission order)
+/// and replayed verbatim.
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     arrivals: Vec<(SimTime, SortJob)>,

@@ -17,15 +17,7 @@ fn main() {
     let dgx = Platform::dgx_a100();
     for g in [4usize, 8] {
         let mut a = input.clone();
-        let p2p = p2p_sort(
-            &dgx,
-            &P2pConfig {
-                fidelity: Fidelity::Sampled { scale },
-                ..P2pConfig::new(g)
-            },
-            &mut a,
-            n,
-        );
+        let p2p = p2p_sort(&dgx, &P2pConfig::new(g).sampled(scale), &mut a, n);
         let mut b = input.clone();
         let rp = rp_sort(&dgx, &RpConfig::new(g).sampled(scale), &mut b, n);
         assert_eq!(a, b, "same sorted output");
@@ -56,23 +48,11 @@ fn main() {
     let n_small = 2_000_000_000u64 / (scale * 16) * (scale * 16);
     let small: Vec<u32> = generate(Distribution::Uniform, (n_small / scale) as usize, 6);
     let mut x = small.clone();
-    let base = p2p_sort(
-        &delta,
-        &P2pConfig {
-            fidelity: Fidelity::Sampled { scale },
-            ..P2pConfig::new(4)
-        },
-        &mut x,
-        n_small,
-    );
+    let base = p2p_sort(&delta, &P2pConfig::new(4).sampled(scale), &mut x, n_small);
     let mut y = small.clone();
     let hopped = p2p_sort(
         &delta,
-        &P2pConfig {
-            fidelity: Fidelity::Sampled { scale },
-            ..P2pConfig::new(4)
-        }
-        .with_multi_hop(),
+        &P2pConfig::new(4).sampled(scale).with_multi_hop(),
         &mut y,
         n_small,
     );

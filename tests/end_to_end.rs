@@ -65,10 +65,8 @@ fn all_gpu_sort_primitives_end_to_end() {
     let input = uniform(n as usize, 19);
     for algo in GpuSortAlgo::all() {
         let mut data = input.clone();
-        let cfg = P2pConfig {
-            algo,
-            ..P2pConfig::new(2)
-        };
+        let mut cfg = P2pConfig::new(2);
+        cfg.placement.algo = algo;
         let report = p2p_sort(&platform, &cfg, &mut data, n);
         assert!(report.validated, "{algo:?}");
         assert!(same_multiset(&input, &data), "{algo:?}");
@@ -89,25 +87,9 @@ fn paper_headline_shapes_hold_at_paper_scale() {
     let dgx = Platform::dgx_a100();
     for g in [2usize, 4, 8] {
         let mut a = input.clone();
-        let p2p = p2p_sort(
-            &dgx,
-            &P2pConfig {
-                fidelity,
-                ..P2pConfig::new(g)
-            },
-            &mut a,
-            n,
-        );
+        let p2p = p2p_sort(&dgx, &P2pConfig::new(g).sampled(scale), &mut a, n);
         let mut b = input.clone();
-        let het = het_sort(
-            &dgx,
-            &HetConfig {
-                fidelity,
-                ..HetConfig::new(g)
-            },
-            &mut b,
-            n,
-        );
+        let het = het_sort(&dgx, &HetConfig::new(g).sampled(scale), &mut b, n);
         assert!(
             p2p.total < het.total,
             "g={g}: P2P {} vs HET {}",
@@ -119,25 +101,9 @@ fn paper_headline_shapes_hold_at_paper_scale() {
     // (2) On the AC922, P2P on the NVLink pair beats HET on 2 GPUs.
     let ac = Platform::ibm_ac922();
     let mut a = input.clone();
-    let p2p2 = p2p_sort(
-        &ac,
-        &P2pConfig {
-            fidelity,
-            ..P2pConfig::new(2)
-        },
-        &mut a,
-        n,
-    );
+    let p2p2 = p2p_sort(&ac, &P2pConfig::new(2).sampled(scale), &mut a, n);
     let mut b = input.clone();
-    let het2 = het_sort(
-        &ac,
-        &HetConfig {
-            fidelity,
-            ..HetConfig::new(2)
-        },
-        &mut b,
-        n,
-    );
+    let het2 = het_sort(&ac, &HetConfig::new(2).sampled(scale), &mut b, n);
     assert!(p2p2.total < het2.total);
 
     // (3) Both beat the CPU baseline everywhere.
@@ -146,15 +112,7 @@ fn paper_headline_shapes_hold_at_paper_scale() {
         let mut c = input.clone();
         let cpu = cpu_only_sort(&platform, fidelity, &mut c, n);
         let mut d = input.clone();
-        let p2p = p2p_sort(
-            &platform,
-            &P2pConfig {
-                fidelity,
-                ..P2pConfig::new(2)
-            },
-            &mut d,
-            n,
-        );
+        let p2p = p2p_sort(&platform, &P2pConfig::new(2).sampled(scale), &mut d, n);
         assert!(cpu.total > p2p.total, "{id:?}");
     }
 }
